@@ -28,6 +28,22 @@ from repro.pairing.group import G1Element, GTElement, PairingGroup
 from repro.policy.lsss import LsssMatrix, lsss_from_policy
 
 
+def _split_header(data: bytes) -> tuple:
+    """The JSON header object and the offset where the elements start."""
+    if len(data) < 4:
+        raise SchemeError("truncated ciphertext")
+    header_len = int.from_bytes(data[:4], "big")
+    if len(data) < 4 + header_len:
+        raise SchemeError("truncated ciphertext header")
+    try:
+        header = json.loads(data[4:4 + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise SchemeError("malformed ciphertext header") from exc
+    if not isinstance(header, dict):
+        raise SchemeError("malformed ciphertext header")
+    return header, 4 + header_len
+
+
 @dataclass(frozen=True)
 class Ciphertext:
     """One CP-ABE ciphertext (the encrypted content key, per Fig. 2)."""
@@ -83,19 +99,13 @@ class Ciphertext:
         checks and is reserved for bytes this process already validated
         (store-internal re-reads are digest-verified and were fully
         checked when they first crossed the wire)."""
-        if len(data) < 4:
-            raise SchemeError("truncated ciphertext")
-        header_len = int.from_bytes(data[:4], "big")
-        if len(data) < 4 + header_len:
-            raise SchemeError("truncated ciphertext header")
+        header, offset = _split_header(data)
         try:
-            header = json.loads(data[4:4 + header_len].decode("utf-8"))
             ciphertext_id = header["id"]
             owner_id = header["owner"]
             policy = header["policy"]
             versions = header["versions"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                TypeError) as exc:
+        except KeyError as exc:
             raise SchemeError("malformed ciphertext header") from exc
         if not all(isinstance(value, str)
                    for value in (ciphertext_id, owner_id, policy)):
@@ -110,7 +120,6 @@ class Ciphertext:
         if not isinstance(method, str):
             raise SchemeError("malformed ciphertext header")
         matrix = lsss_from_policy(policy, threshold_method=method)
-        offset = 4 + header_len
         gt_len, g1_len = group.gt_bytes, group.g1_bytes
         expected = gt_len + g1_len * (1 + matrix.n_rows)
         if len(data) - offset != expected:
@@ -138,6 +147,21 @@ class Ciphertext:
             involved_aids=involved_authorities(matrix.row_labels),
             versions={aid: int(v) for aid, v in versions.items()},
         )
+
+    @staticmethod
+    def peek(data: bytes) -> tuple:
+        """``(ciphertext id, element bytes)`` from the framing alone.
+
+        No group element is decoded and nothing is checked beyond the
+        header; the element-byte count is what follows the header, so
+        it equals :meth:`element_size_bytes` only for bytes that
+        already passed a full decode (the store's own records).
+        """
+        header, offset = _split_header(data)
+        ciphertext_id = header.get("id")
+        if not isinstance(ciphertext_id, str):
+            raise SchemeError("malformed ciphertext header")
+        return ciphertext_id, len(data) - offset
 
     def element_size_bytes(self, group: PairingGroup) -> int:
         """Size of the group-element payload only: |GT| + (l+1)·|G|.

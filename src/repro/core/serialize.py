@@ -61,6 +61,13 @@ def _unpack(data: bytes) -> tuple:
     return header, data[4 + header_len:]
 
 
+def element_bytes(data: bytes) -> int:
+    """Bytes of group elements behind an encoding's header — its Table
+    II size — from the framing alone, for encodings that already
+    passed a full decode (no element is decoded or checked)."""
+    return len(_unpack(data)[1])
+
+
 def _header_str(header: dict, key: str) -> str:
     value = header.get(key)
     if not isinstance(value, str):

@@ -80,6 +80,7 @@ from repro.core.serialize import (
     decode_transform_key,
     decode_update_info,
     decode_update_key,
+    element_bytes,
     peek_update_info,
 )
 from repro.errors import (
@@ -98,7 +99,7 @@ from repro.service.protocol import MessageType
 from repro.service.retry import IdempotencyTable
 from repro.service.store import RecordStore
 from repro.system.meter import ROLE_SERVER, Meter
-from repro.system.records import StoredComponent, StoredRecord
+from repro.system.records import StoredComponent, StoredRecord, scan_record
 
 #: Roles a client may claim in its hello.
 _CLIENT_ROLES = frozenset({"owner", "user", "aa", "ca"})
@@ -176,9 +177,6 @@ class StorageService:
         # idempotency key: a pipelined (or cross-connection) duplicate
         # parks on the future instead of double-applying.
         self._inflight_keys = {}
-        # digest -> Table-II payload size of the record blob, so the hot
-        # raw-byte fetch path meters without re-decoding group elements.
-        self._fetch_sizes = OrderedDict()
         # (uid, owner id) -> registered TransformKey. In-memory only (a
         # transform key is rebuildable client-side in one request) and
         # epoch-coupled: every REENCRYPT/REENCRYPT_SWEEP that rolls an
@@ -601,31 +599,11 @@ class StorageService:
         await self._send(session, MessageType.RECORD, blob, seq=seq)
 
     def _fetch_record_blob(self, record_id):
-        """The fetch hot path (offload thread): serve the digest-verified
-        raw blob, no per-element decode.
-
-        The stored blob IS the served representation (``to_bytes`` round-
-        trips byte-identically — the cluster's digest-based read-repair
-        already depends on it), so the pairing-heavy subgroup-checked
-        decode the old path paid per fetch is dropped entirely. Metering
-        still needs the record's Table-II payload size, which only a
-        decode knows — so the first fetch of a digest measures it via
-        the *trusted* (no subgroup checks) decode and caches it; the hot
-        Zipf head never decodes again.
-        """
-        digest = self.store.digest(record_id)
-        blob = self.store.blobs.get(digest)
-        size = self._fetch_sizes.get(digest)
-        if size is None:
-            size = StoredRecord.from_bytes(
-                self.group, blob, validate=False
-            ).payload_size_bytes(self.group)
-            self._fetch_sizes[digest] = size
-            while len(self._fetch_sizes) > 4096:
-                self._fetch_sizes.popitem(last=False)
-        else:
-            self._fetch_sizes.move_to_end(digest)
-        return blob, size
+        """The fetch hot path (offload thread): the digest-verified raw
+        blob and its Table-II payload size, read from its framing — no
+        element is decoded (the stored blob IS the served form)."""
+        blob = self.store.get_record_bytes(record_id)
+        return blob, scan_record(blob).payload_size_bytes()
 
     async def _handle_fetch_component(self, session, seq, body):
         request = protocol.decode_json(body)
@@ -634,11 +612,13 @@ class StorageService:
         # Same metered request string as the simulation's read path.
         self._meter_in(session, "read-request",
                        f"{record_id}/{component_name}")
-        record = await self._offload(self.store.get, record_id)
-        component = record.component(component_name)
-        self._meter_out(session, "component-download", component)
-        await self._send(session, MessageType.COMPONENT,
-                         component.to_bytes(), seq=seq)
+        frame = await self._offload(self.store.frame, record_id)
+        component = frame.component(component_name)
+        self.meter.record_sized(self.name, self.role, session.peer_name,
+                                session.peer_role, "component-download",
+                                component.payload_size)
+        await self._send(session, MessageType.COMPONENT, component.encoded,
+                         seq=seq)
 
     async def _handle_list_records(self, session, seq, body):
         await self._send(session, MessageType.RECORD_IDS,
@@ -688,16 +668,18 @@ class StorageService:
     async def _handle_repair_record(self, session, seq, body):
         """Accept known-good record bytes over a broken/missing copy.
 
-        The body is raw :meth:`StoredRecord.to_bytes` — decoded (and
-        subgroup-checked) off the loop before anything touches disk,
-        then stored byte-preserving so the repaired replica lands
-        digest-identical to its source.
+        The body is raw :meth:`StoredRecord.to_bytes`. Its framing names
+        the record; :meth:`RecordStore.put_record_bytes` then decodes
+        (and subgroup-checks) it off the loop before anything touches
+        disk, and stores it byte-preserving so the repaired replica
+        lands digest-identical to its source.
         """
-        record = await self._offload(StoredRecord.from_bytes, self.group,
-                                     body)
-        self._meter_in(session, "repair-record", record)
-        await self._offload(self.store.put_record_bytes, record.record_id,
+        frame = scan_record(body)
+        await self._offload(self.store.put_record_bytes, frame.record_id,
                             body)
+        self.meter.record_sized(session.peer_name, session.peer_role,
+                                self.name, self.role, "repair-record",
+                                frame.payload_size_bytes())
         await self._send(session, MessageType.OK, seq=seq)
 
     async def _handle_put_authority_keys(self, session, seq, body):
@@ -720,11 +702,13 @@ class StorageService:
         request = protocol.decode_json(body)
         aid = protocol.json_str(request, "aid")
         blob = self.store.get_authority_keys(aid)
-        apk_raw, pak_raw = protocol.unpack_parts(blob, 2)
-        self._meter_out(session, "authority-public-key",
-                        decode_authority_public_key(self.group, apk_raw))
-        self._meter_out(session, "public-attribute-keys",
-                        decode_public_attribute_keys(self.group, pak_raw))
+        # Checked when they were published; metered from their framing.
+        for kind, raw in zip(("authority-public-key",
+                              "public-attribute-keys"),
+                             protocol.unpack_parts(blob, 2)):
+            self.meter.record_sized(self.name, self.role, session.peer_name,
+                                    session.peer_role, kind,
+                                    element_bytes(raw))
         await self._send(session, MessageType.AUTHORITY_KEYS, blob, seq=seq)
 
     async def _handle_put_transform_key(self, session, seq, body):
@@ -768,17 +752,18 @@ class StorageService:
         uid = protocol.json_str(request, "uid")
         self._meter_in(session, "read-request",
                        f"{record_id}/{component_name}")
-        record = await self._offload(self.store.get, record_id)
-        component = record.component(component_name)
-        transform_key = self._transform_keys.get((uid, record.owner_id))
+        owner_id, component = await self._offload(
+            self._stored_component, record_id, component_name
+        )
+        transform_key = self._transform_keys.get((uid, owner_id))
         if transform_key is None:
             self.meter.bump("transform.cache.miss")
             raise AuthorizationError(
                 f"no transform key registered for user {uid!r} under "
-                f"owner {record.owner_id!r}; send PUT_TRANSFORM_KEY first"
+                f"owner {owner_id!r}; send PUT_TRANSFORM_KEY first"
             )
         self.meter.bump("transform.cache.hit")
-        self._transform_keys.move_to_end((uid, record.owner_id))
+        self._transform_keys.move_to_end((uid, owner_id))
         ciphertext = component.abe_ciphertext
         partial = await self._transform_partial(ciphertext, transform_key)
         reply = protocol.pack_parts(
@@ -786,7 +771,7 @@ class StorageService:
                 "record": record_id,
                 "component": component_name,
                 "id": ciphertext.ciphertext_id,
-                "owner": record.owner_id,
+                "owner": owner_id,
             }),
             ciphertext.c.to_bytes(),
             partial.to_bytes(),
@@ -798,6 +783,16 @@ class StorageService:
             2 * self.group.gt_bytes + len(component.data_ciphertext),
         )
         await self._send(session, MessageType.TRANSFORMED, reply, seq=seq)
+
+    def _stored_component(self, record_id, component_name):
+        """``(owner id, component)``: the one stored component an op
+        computes on, decoded trusted — its bytes are digest-verified and
+        were subgroup-checked when they came in (offload thread)."""
+        frame = self.store.frame(record_id)
+        encoded = frame.component(component_name).encoded
+        return frame.owner_id, StoredComponent.from_bytes(
+            self.group, encoded, validate=False
+        )
 
     async def _transform_partial(self, ciphertext, transform_key):
         """Queue one transform and await its partial decryption.
@@ -910,8 +905,7 @@ class StorageService:
         record_id, component_name = self.store.locate_ciphertext(
             ciphertext_id
         )
-        record = self.store.get(record_id)
-        component = record.component(component_name)
+        _, component = self._stored_component(record_id, component_name)
         updated = abe_reencrypt(
             self.group, component.abe_ciphertext, update_key, update_info
         )

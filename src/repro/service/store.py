@@ -41,7 +41,13 @@ from urllib.parse import quote, unquote
 
 from repro.errors import StorageError
 from repro.pairing.group import PairingGroup
-from repro.system.records import StoredComponent, StoredRecord
+from repro.system.records import (
+    RecordFrame,
+    StoredComponent,
+    StoredRecord,
+    scan_record,
+    splice_component,
+)
 
 
 class BlobStore:
@@ -307,7 +313,7 @@ class RecordStore:
         # Replay order: loose refs first, then refpack files in
         # sequence order — each pack repoints ids whose loose refs are
         # stale (and whose old blobs may already be collected), so the
-        # overlay must resolve before anything is decoded. The packs
+        # overlay must resolve before anything is scanned. The packs
         # carry their blobs inline; register them so reads resolve.
         refs = {}
         for ref_path in self.refs_dir.iterdir():
@@ -323,7 +329,7 @@ class RecordStore:
         )
         for record_id, digest in refs.items():
             self._set_ref(record_id, digest)
-            self._index_record(self._decode(digest))
+            self._index(self.frame(record_id))
 
     def attach_meter(self, meter) -> None:
         """Expose the blob cache's hit/miss/eviction telemetry through a
@@ -337,20 +343,15 @@ class RecordStore:
     def _ref_path(self, record_id: str) -> Path:
         return self.refs_dir / quote(record_id, safe="")
 
-    def _decode(self, digest: str) -> StoredRecord:
-        return StoredRecord.from_bytes(self.group, self.blobs.get(digest))
-
-    def _index_record(self, record: StoredRecord) -> None:
-        for name, component in record.components.items():
-            self._ciphertext_index[component.abe_ciphertext.ciphertext_id] = (
-                record.record_id, name
+    def _index(self, frame: RecordFrame) -> None:
+        for name, component in frame.components.items():
+            self._ciphertext_index[component.ciphertext_id] = (
+                frame.record_id, name
             )
 
-    def _unindex_record(self, record: StoredRecord) -> None:
-        for component in record.components.values():
-            self._ciphertext_index.pop(
-                component.abe_ciphertext.ciphertext_id, None
-            )
+    def _unindex(self, frame: RecordFrame) -> None:
+        for component in frame.components.values():
+            self._ciphertext_index.pop(component.ciphertext_id, None)
 
     def _set_ref(self, record_id: str, digest: str) -> None:
         """Point a record id at a digest, keeping the refcounts exact."""
@@ -417,6 +418,32 @@ class RecordStore:
         self._refbatch_files = []
         blobs.clear_packed()
 
+    def _publish(self, record_id: str, blob: bytes, old, new, *,
+                 force: bool = False) -> str:
+        """Make ``blob`` the record's current version; returns its digest.
+
+        Ordered for crash safety: the new blob lands first, then the
+        ref repoints atomically, and only then is the old blob eligible
+        for collection. A crash (or write failure) at any point leaves
+        the previous version fully readable — the worst case is an
+        orphaned blob that :meth:`gc` reclaims later. The ciphertext
+        index moves from ``old``'s frame to ``new``'s (``None`` leaves
+        that side alone).
+        """
+        old_digest = self._refs.get(record_id)
+        digest = (self.blobs.put(blob, force=True) if force
+                  else self.blobs.put(blob))
+        _atomic_write(self.blobs.tmp_dir, self._ref_path(record_id),
+                      digest.encode("ascii"))
+        self._set_ref(record_id, digest)
+        if old is not None:
+            self._unindex(old)
+        if new is not None:
+            self._index(new)
+        if old_digest is not None and old_digest != digest:
+            self._collect(old_digest)
+        return digest
+
     def _collect(self, digest: str) -> None:
         """Drop a blob no ref points at any more (O(1) via refcounts —
         a bulk sweep replaces every record, so a scan of ``_refs`` here
@@ -427,14 +454,8 @@ class RecordStore:
     # -- records ----------------------------------------------------------
 
     def put(self, record: StoredRecord, replace: bool = False) -> str:
-        """Persist a record; returns the blob digest.
-
-        Ordered for crash safety: the new blob lands first, then the
-        ref repoints atomically, and only then is the old blob eligible
-        for collection. A crash (or write failure) at any point leaves
-        the previous record fully readable — the worst case is an
-        orphaned blob that :meth:`gc` reclaims later.
-        """
+        """Persist a record; returns the blob digest (crash-safe, see
+        :meth:`_publish`)."""
         self._compact_refbatches()
         old_digest = self._refs.get(record.record_id)
         if old_digest is not None and not replace:
@@ -442,23 +463,21 @@ class RecordStore:
                 f"record {record.record_id!r} already exists "
                 f"(pass replace=True to overwrite)"
             )
-        old_record = None if old_digest is None else self._decode(old_digest)
-        digest = self.blobs.put(record.to_bytes())
-        _atomic_write(self.blobs.tmp_dir, self._ref_path(record.record_id),
-                      digest.encode("ascii"))
-        self._set_ref(record.record_id, digest)
-        if old_record is not None:
-            self._unindex_record(old_record)
-        self._index_record(record)
-        if old_digest is not None and old_digest != digest:
-            self._collect(old_digest)
-        return digest
+        old = None if old_digest is None else self.frame(record.record_id)
+        blob = record.to_bytes()
+        return self._publish(record.record_id, blob, old, scan_record(blob))
 
     def get(self, record_id: str) -> StoredRecord:
-        digest = self._refs.get(record_id)
-        if digest is None:
-            raise StorageError(f"no record {record_id!r}")
-        return self._decode(digest)
+        """Decode a record trusted: its bytes are digest-verified and
+        every element was subgroup-checked when it came in."""
+        return StoredRecord.from_bytes(
+            self.group, self.get_record_bytes(record_id), validate=False
+        )
+
+    def frame(self, record_id: str) -> RecordFrame:
+        """A record's component slices, ciphertext ids and Table-II
+        sizes, from its digest-verified bytes with no element decode."""
+        return scan_record(self.get_record_bytes(record_id))
 
     def get_record_bytes(self, record_id: str) -> bytes:
         """The digest-verified raw blob of a record, no element decode.
@@ -528,11 +547,11 @@ class RecordStore:
         (a replica that never saw the write) and the blob write is
         forced (the blob file may exist under the right name with the
         wrong bytes — exactly the corruption repair undoes). The bytes
-        are fully decoded first, so a repair peddling garbage or group
+        come off the wire, so they get the one checked decode every
+        incoming element gets: a repair peddling garbage or group
         elements off the curve is rejected before anything lands on
-        disk, and the ciphertext-id index follows the decoded record.
-        Byte-preserving: the stored blob is ``blob`` itself, so replicas
-        repaired from the same source stay digest-identical.
+        disk. Byte-preserving: the stored blob is ``blob`` itself, so
+        replicas repaired from the same source stay digest-identical.
         """
         record = StoredRecord.from_bytes(self.group, blob)
         if record.record_id != record_id:
@@ -544,7 +563,7 @@ class RecordStore:
         old_digest = self._refs.get(record_id)
         if old_digest is not None:
             try:
-                self._unindex_record(self._decode(old_digest))
+                self._unindex(self.frame(record_id))
             except StorageError:
                 # The old blob is the corrupted thing being repaired;
                 # its index entries are swept by record id instead.
@@ -556,38 +575,25 @@ class RecordStore:
                 ]
                 for ciphertext_id in stale:
                     del self._ciphertext_index[ciphertext_id]
-        digest = self.blobs.put(blob, force=True)
-        _atomic_write(self.blobs.tmp_dir, self._ref_path(record_id),
-                      digest.encode("ascii"))
-        self._set_ref(record_id, digest)
-        self._index_record(record)
-        if old_digest is not None and old_digest != digest:
-            self._collect(old_digest)
-        return digest
+        return self._publish(record_id, blob, None, scan_record(blob),
+                             force=True)
 
     def replace_record_bytes(self, record_id: str, blob: bytes) -> str:
         """Repoint an existing record at pre-encoded bytes; returns the
         new digest.
 
         Same crash-safe ordering as :meth:`put` with ``replace=True``
-        (blob first, atomic ref repoint, then collect the old blob), but
-        with *no* decode of either record. Only valid when the
-        replacement preserves the record's ciphertext-id → component
-        mapping, so the index needs no maintenance — ReEncrypt does:
-        ids, component names and symmetric bodies are invariant under
-        it. Callers that change the mapping must use :meth:`put`.
+        (see :meth:`_publish`), but with *no* look inside either record.
+        Only valid when the replacement preserves the record's
+        ciphertext-id → component mapping, so the index needs no
+        maintenance — ReEncrypt does: ids, component names and
+        symmetric bodies are invariant under it. Callers that change the
+        mapping must use :meth:`put`.
         """
         self._compact_refbatches()
-        old_digest = self._refs.get(record_id)
-        if old_digest is None:
+        if record_id not in self._refs:
             raise StorageError(f"no record {record_id!r}")
-        digest = self.blobs.put(blob)
-        _atomic_write(self.blobs.tmp_dir, self._ref_path(record_id),
-                      digest.encode("ascii"))
-        self._set_ref(record_id, digest)
-        if old_digest != digest:
-            self._collect(old_digest)
-        return digest
+        return self._publish(record_id, blob, None, None)
 
     def replace_record_bytes_many(self, items, durable: bool = True) -> list:
         """Repoint many existing records as ONE durability group.
@@ -723,20 +729,29 @@ class RecordStore:
 
     def delete(self, record_id: str) -> None:
         self._compact_refbatches()
-        digest = self._refs.get(record_id)
-        if digest is None:
-            raise StorageError(f"no record {record_id!r}")
-        self._unindex_record(self._decode(digest))
+        self._unindex(self.frame(record_id))
+        digest = self._refs[record_id]
         self._drop_ref(record_id)
         self._ref_path(record_id).unlink(missing_ok=True)
         self._collect(digest)
 
     def replace_component(self, record_id: str,
-                          component: StoredComponent) -> StoredRecord:
-        """Swap one component and persist the updated record."""
-        updated = self.get(record_id).with_component(component)
-        self.put(updated, replace=True)
-        return updated
+                          component: StoredComponent) -> str:
+        """Swap one component and persist the record; returns the new
+        digest.
+
+        ``component`` is already decoded (checked, if it came off the
+        wire); its canonical encoding is spliced into the stored blob,
+        so the result is byte-identical to
+        ``get(record_id).with_component(component).to_bytes()`` with no
+        element of the stored record decoded.
+        """
+        self._compact_refbatches()
+        blob = self.get_record_bytes(record_id)
+        old = scan_record(blob)
+        spliced = splice_component(blob, old.component(component.name),
+                                   component.to_bytes())
+        return self._publish(record_id, spliced, old, scan_record(spliced))
 
     def record_ids(self) -> list:
         return sorted(self._refs)
@@ -758,11 +773,10 @@ class RecordStore:
         return frozenset(self._ciphertext_index)
 
     def storage_bytes(self) -> int:
-        """Total stored payload — the Table III 'server' row, measured."""
-        return sum(
-            self._decode(digest).payload_size_bytes(self.group)
-            for digest in self._refs.values()
-        )
+        """Total stored payload — the Table III 'server' row, measured
+        from each record's framing (no element decode)."""
+        return sum(self.frame(record_id).payload_size_bytes()
+                   for record_id in self._refs)
 
     # -- crash-recovery auditing ------------------------------------------
 
@@ -792,7 +806,10 @@ class RecordStore:
                 report["missing_blobs"].append(record_id)
                 continue
             try:
-                record = self._decode(digest)
+                # The one deep, subgroup-checked re-read of stored
+                # bytes: an off-hot-path audit, not a serving path.
+                record = StoredRecord.from_bytes(self.group,
+                                                 self.blobs.get(digest))
             except StorageError:
                 report["corrupt_blobs"].append(record_id)
                 continue

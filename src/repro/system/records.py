@@ -20,8 +20,57 @@ from dataclasses import dataclass
 
 from repro.core.ciphertext import Ciphertext
 from repro.crypto.symmetric import SymmetricCiphertext
-from repro.errors import StorageError
+from repro.errors import SchemeError, StorageError
 from repro.pairing.group import PairingGroup
+
+
+def _take(blob: bytes, offset: int, what: str) -> tuple:
+    """One ``u32 length | bytes`` field at ``offset``; returns it and
+    the offset just past it."""
+    if offset + 4 > len(blob):
+        raise StorageError(f"truncated {what}")
+    length = int.from_bytes(blob[offset:offset + 4], "big")
+    offset += 4
+    if offset + length > len(blob):
+        raise StorageError(f"truncated {what}")
+    return blob[offset:offset + length], offset + length
+
+
+def _text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise StorageError(f"{what} is not valid UTF-8") from None
+
+
+def _split_component(blob: bytes) -> tuple:
+    """``(name, abe bytes, symmetric bytes)`` of one encoded component."""
+    name, offset = _take(blob, 0, "stored component")
+    abe, offset = _take(blob, offset, "stored component")
+    data, offset = _take(blob, offset, "stored component")
+    if offset != len(blob):
+        raise StorageError("trailing bytes after stored component")
+    return _text(name, "component name"), abe, data
+
+
+def _split_record(blob: bytes) -> tuple:
+    """``(record id, owner id, [(offset, encoded component)])`` — each
+    offset is where the component's length prefix starts in ``blob``."""
+    record_id, offset = _take(blob, 0, "stored record")
+    owner_id, offset = _take(blob, offset, "stored record")
+    if offset + 4 > len(blob):
+        raise StorageError("truncated stored record")
+    count = int.from_bytes(blob[offset:offset + 4], "big")
+    offset += 4
+    components = []
+    for _ in range(count):
+        start = offset
+        encoded, offset = _take(blob, offset, "stored record")
+        components.append((start, encoded))
+    if offset != len(blob):
+        raise StorageError("trailing bytes after stored record")
+    return (_text(record_id, "record id"), _text(owner_id, "owner id"),
+            components)
 
 
 @dataclass(frozen=True)
@@ -49,22 +98,9 @@ class StoredComponent:
     @classmethod
     def from_bytes(cls, group: PairingGroup, blob: bytes, *,
                    validate: bool = True) -> "StoredComponent":
-        parts = []
-        offset = 0
-        for _ in range(3):
-            if offset + 4 > len(blob):
-                raise StorageError("truncated stored component")
-            length = int.from_bytes(blob[offset:offset + 4], "big")
-            offset += 4
-            if offset + length > len(blob):
-                raise StorageError("truncated stored component")
-            parts.append(blob[offset:offset + length])
-            offset += length
-        if offset != len(blob):
-            raise StorageError("trailing bytes after stored component")
-        name, abe, data = parts
+        name, abe, data = _split_component(blob)
         return cls(
-            name=name.decode("utf-8"),
+            name=name,
             abe_ciphertext=Ciphertext.from_bytes(group, abe,
                                                  validate=validate),
             data_ciphertext=SymmetricCiphertext.from_bytes(data),
@@ -130,31 +166,92 @@ class StoredRecord:
         """Decode a record; ``validate=False`` (trusted, store-internal
         bytes only) skips the per-element subgroup checks, which dominate
         decode time for multi-row policies."""
-        def take(offset):
-            if offset + 4 > len(blob):
-                raise StorageError("truncated stored record")
-            length = int.from_bytes(blob[offset:offset + 4], "big")
-            offset += 4
-            if offset + length > len(blob):
-                raise StorageError("truncated stored record")
-            return blob[offset:offset + length], offset + length
-
-        record_id, offset = take(0)
-        owner_id, offset = take(offset)
-        if offset + 4 > len(blob):
-            raise StorageError("truncated stored record")
-        count = int.from_bytes(blob[offset:offset + 4], "big")
-        offset += 4
+        record_id, owner_id, encoded_components = _split_record(blob)
         components = {}
-        for _ in range(count):
-            encoded, offset = take(offset)
+        for _, encoded in encoded_components:
             component = StoredComponent.from_bytes(group, encoded,
                                                    validate=validate)
+            if component.name in components:
+                raise StorageError(
+                    f"duplicate component {component.name!r} in record"
+                )
             components[component.name] = component
-        if offset != len(blob):
-            raise StorageError("trailing bytes after stored record")
         return cls(
-            record_id=record_id.decode("utf-8"),
-            owner_id=owner_id.decode("utf-8"),
+            record_id=record_id,
+            owner_id=owner_id,
             components=components,
         )
+
+
+@dataclass(frozen=True)
+class ComponentFrame:
+    """One component of a record blob, located by framing alone."""
+
+    name: str
+    encoded: bytes      # exactly the StoredComponent.to_bytes() slice
+    ciphertext_id: str  # read from the ABE ciphertext's JSON header
+    payload_size: int   # Table-II size: |GT| + (l+1)|G| + |E_k(m)|
+    offset: int         # where its length prefix starts in the record blob
+
+
+@dataclass(frozen=True)
+class RecordFrame:
+    """A record blob's framing: ids and component slices, no elements."""
+
+    record_id: str
+    owner_id: str
+    components: dict  # name -> ComponentFrame
+
+    def component(self, name: str) -> ComponentFrame:
+        try:
+            return self.components[name]
+        except KeyError:
+            raise StorageError(
+                f"record {self.record_id!r} has no component {name!r}"
+            ) from None
+
+    def payload_size_bytes(self) -> int:
+        return sum(frame.payload_size for frame in self.components.values())
+
+
+def scan_record(blob: bytes) -> RecordFrame:
+    """Frame a :meth:`StoredRecord.to_bytes` blob without touching a
+    single group element: no point decode, no subgroup check.
+
+    For the store's own digest-verified bytes, whose every element was
+    subgroup-checked when it came in over the wire. Garbage or
+    truncated input raises :class:`StorageError` and nothing else.
+    """
+    record_id, owner_id, encoded_components = _split_record(blob)
+    components = {}
+    for offset, encoded in encoded_components:
+        name, abe, data = _split_component(encoded)
+        try:
+            ciphertext_id, element_bytes = Ciphertext.peek(abe)
+        except SchemeError as exc:
+            raise StorageError(f"component {name!r}: {exc}") from None
+        if name in components:
+            raise StorageError(f"duplicate component {name!r} in record")
+        components[name] = ComponentFrame(
+            name=name,
+            encoded=encoded,
+            ciphertext_id=ciphertext_id,
+            payload_size=element_bytes + len(data),
+            offset=offset,
+        )
+    return RecordFrame(record_id=record_id, owner_id=owner_id,
+                       components=components)
+
+
+def splice_component(blob: bytes, frame: ComponentFrame,
+                     encoded: bytes) -> bytes:
+    """``blob`` with the component at ``frame`` replaced by ``encoded``.
+
+    ``frame`` comes from :func:`scan_record` of this very ``blob``, and
+    ``encoded`` is a ``StoredComponent.to_bytes()`` of the same name,
+    so the component order — and, for a canonical blob, the bytes of
+    ``record.with_component(c).to_bytes()`` — are preserved exactly.
+    """
+    end = frame.offset + 4 + len(frame.encoded)
+    return (blob[:frame.offset] + len(encoded).to_bytes(4, "big")
+            + encoded + blob[end:])

@@ -232,8 +232,13 @@ def test_replace_component_repoints_and_collects(group, scenario, store_root):
     # A replacement component with the same name but a fresh ciphertext
     # (the owner ledger forbids reusing a ciphertext id).
     other = scenario.make_record("r-v2").components["note"]
-    updated = store.replace_component("r", other)
-    assert updated.components["note"].data_ciphertext == other.data_ciphertext
+    digest = store.replace_component("r", other)
+    updated = record.with_component(other)
+    assert digest == store.digest("r")
+    assert digest == hashlib.sha256(updated.to_bytes()).hexdigest()
+    assert store.get("r").components["note"].data_ciphertext == (
+        other.data_ciphertext
+    )
     assert not store.blobs.contains(old_digest)
     assert store.get("r").to_bytes() == updated.to_bytes()
 
