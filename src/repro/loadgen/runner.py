@@ -49,7 +49,6 @@ Operation classes (see :mod:`repro.loadgen.workload`):
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import hashlib
 import random
 import time
@@ -114,32 +113,19 @@ def rss_kb():
 class _Slot:
     """One connection a worker issues ops through.
 
-    Pipelined connections multiplex naturally; a serial connection is
-    one-request-at-a-time by construction, so sharing it across workers
-    needs the lock. ``user`` is the reader-role wrapper over the same
-    connection — its key wallet and decryption-session cache are shared
-    across every slot (one simulated reader, many sockets).
+    Workers sharing a slot share its connection's request window.
+    ``user`` is the reader-role wrapper over the same connection — its
+    key wallet and decryption-session cache are shared across every
+    slot (one simulated reader, many sockets).
     """
 
-    __slots__ = ("connection", "owner", "user", "lock")
+    __slots__ = ("connection", "owner", "user")
 
     def __init__(self, connection: ServiceConnection, owner: OwnerClient,
-                 user: UserClient, serialize: bool):
+                 user: UserClient):
         self.connection = connection
         self.owner = owner
         self.user = user
-        self.lock = asyncio.Lock() if serialize else None
-
-    def guard(self):
-        """The slot's exclusivity context: its lock, or a no-op."""
-        if self.lock is not None:
-            return self.lock
-        return contextlib.nullcontext()
-
-    async def request(self, msg_type, body=b"", expect=None):
-        async with self.guard():
-            return await self.connection.request(msg_type, body,
-                                                 expect=expect)
 
 
 class _Collector:
@@ -291,7 +277,6 @@ class LoadHarness:
             user._decrypt_sessions = self._user_sessions  # shared cache
             self._slots.append(_Slot(
                 conn, OwnerClient(conn, self.fabric.owner_core), user,
-                serialize=not conn.pipelined,
             ))
         self.fetch_pool = [self._record_id("hot", i)
                            for i in range(self.records)]
@@ -306,10 +291,9 @@ class LoadHarness:
 
         async def populate(index, record_id):
             slot = self._slots[index % len(self._slots)]
-            async with slot.guard():
-                await slot.owner.upload(record_id, {
-                    "note": (payloads[record_id], POLICY),
-                })
+            await slot.owner.upload(record_id, {
+                "note": (payloads[record_id], POLICY),
+            })
 
         outcomes = await gather_bounded(
             [lambda i=i, rid=rid: populate(i, rid)
@@ -326,15 +310,11 @@ class LoadHarness:
             await slot.connection.close()
         self._slots = []
 
-    @property
-    def pipelined(self) -> bool:
-        return any(slot.connection.pipelined for slot in self._slots)
-
     # -- the five op classes ----------------------------------------------
 
     async def _op_fetch(self, slot: _Slot, rng: random.Random) -> str:
         record_id = self.fetch_pool[self.popularity.sample(rng)]
-        _, body = await slot.request(
+        _, body = await slot.connection.request(
             MessageType.FETCH_RECORD,
             protocol.encode_json({"record": record_id}),
             expect=MessageType.RECORD,
@@ -343,8 +323,7 @@ class LoadHarness:
 
     async def _op_decrypt(self, slot: _Slot, rng: random.Random) -> str:
         record_id = self.fetch_pool[self.popularity.sample(rng)]
-        async with slot.guard():
-            plaintext = await slot.user.read(record_id, "note")
+        plaintext = await slot.user.read(record_id, "note")
         return hashlib.sha256(plaintext).hexdigest()
 
     def _churn_state(self, worker: int) -> dict:
@@ -372,14 +351,14 @@ class LoadHarness:
     async def _op_upload(self, slot: _Slot, worker: int) -> None:
         state = self._churn_state(worker)
         if state["present"]:
-            await slot.request(
+            await slot.connection.request(
                 MessageType.DELETE_RECORD,
                 protocol.encode_json({"record": state["id"]}),
                 expect=MessageType.OK,
             )
             state["present"] = False
         else:
-            await slot.request(
+            await slot.connection.request(
                 MessageType.STORE_RECORD, state["bytes"],
                 expect=MessageType.OK,
             )
@@ -389,13 +368,13 @@ class LoadHarness:
                           rng: random.Random) -> None:
         record_id = self.replace_pool[worker % len(self.replace_pool)]
         lock = self._replace_locks.setdefault(record_id, asyncio.Lock())
-        async with lock, slot.guard():
+        async with lock:
             await slot.owner.update_component(
                 record_id, "note", rng.randbytes(self.payload_bytes), POLICY
             )
 
     async def _op_sweep(self, slot: _Slot) -> None:
-        async with self._sweep_lock, slot.guard():
+        async with self._sweep_lock:
             self._sweep_round += 1
             # Give bob a fresh key to revoke each round: every sweep
             # models one real revocation (issue → revoke → re-encrypt),
@@ -579,7 +558,6 @@ class LoadHarness:
             "records": self.records,
             "connections": len(self._slots),
             "max_inflight": self.max_inflight,
-            "pipelined": self.pipelined,
             "mix": mix.as_dict(),
             "wall_seconds": round(wall, 4),
             "measured_ops": measured,

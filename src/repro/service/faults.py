@@ -16,7 +16,7 @@ event:
   error);
 * ``truncate``  — the frame header promises the full reply but only
   half the payload arrives before the connection closes;
-* ``duplicate`` — the reply frame is sent twice, exercising the v2
+* ``duplicate`` — the reply frame is sent twice, exercising the
   sequence-number discard path;
 * ``withhold``  — the frame is swallowed but the connection stays up:
   the client sees silence, not an error (the adversarial server that

@@ -16,10 +16,14 @@ adds framing, not a second serialization layer.
 A session starts with a version-negotiating ``HELLO``/``HELLO_ACK``
 exchange (the client offers its supported protocol versions and its
 pairing preset; the server picks the highest common version and
-confirms the preset). Failures travel as typed ``ERROR`` frames whose
-``code`` maps back to the library's exception hierarchy on the client.
+confirms the preset). This exchange, including an ``ERROR`` refusing
+the HELLO, is the only one whose frames carry no sequence number. A
+peer offering no version this build speaks gets that typed ``ERROR``
+and the session closes. Failures travel as typed ``ERROR``
+frames whose ``code`` maps back to the library's exception hierarchy
+on the client.
 
-Protocol **version 2** adds the fault-tolerance layer:
+The one protocol version, **2**, is built for an unreliable network:
 
 * every post-hello frame carries a 4-byte big-endian **sequence
   number** right after the type byte; the server echoes the request's
@@ -31,20 +35,17 @@ Protocol **version 2** adds the fault-tolerance layer:
   deduplicate retried mutations, so a retry across a reconnect is
   applied exactly once.
 
-Because every version-2 frame is self-describing — ``(type, seq,
-body)`` with the reply echoing its request's seq — the protocol
-supports **pipelining** without any wire change: a peer may send many
-requests before reading any reply, and replies may arrive in *any*
-order (a server running requests concurrently answers cheap ops while
-an expensive one is still in flight). Correlation is purely by
-sequence number; :data:`SEQ_BROADCAST` marks a reply that answers no
-particular request (e.g. an ERROR for an unparseable frame) and is
-terminal for every exchange on the connection.
+Because every frame is self-describing — ``(type, seq, body)`` with
+the reply echoing its request's seq — a peer may send many requests
+before reading any reply, and replies may arrive in *any* order (a
+server running requests concurrently answers cheap ops while an
+expensive one is still in flight). Correlation is purely by sequence
+number; :data:`SEQ_BROADCAST` marks a reply that answers no particular
+request (e.g. an ERROR for an unparseable frame) and is terminal for
+every exchange on the connection. A window of one request in flight is
+the same exchange, not a different protocol.
 
-Version 1 peers keep speaking the original unadorned frames, one
-request in flight at a time.
-
-The cluster fabric (:mod:`repro.cluster`) adds two version-2 ops:
+The cluster fabric (:mod:`repro.cluster`) adds two ops:
 ``RECORD_DIGEST`` asks a node for a record's content digest (optionally
 verifying the blob bytes against it on disk), and ``REPAIR_RECORD``
 force-puts known-good record bytes over a missing or corrupted replica
@@ -72,7 +73,7 @@ from repro.errors import (
 )
 
 #: Protocol versions this build can speak, in preference order.
-PROTOCOL_VERSIONS = (2, 1)
+PROTOCOL_VERSIONS = (2,)
 
 #: Default upper bound on one frame (type byte + body).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -85,7 +86,7 @@ HELLO_MAX_BYTES = 4096
 _HEADER_LEN = 4
 _SEQ_LEN = 4
 
-#: v2 sentinel sequence number for replies that answer no particular
+#: Sentinel sequence number for replies that answer no particular
 #: request (e.g. an ERROR for a frame the server could not even parse);
 #: clients accept it for whatever exchange is in flight.
 SEQ_BROADCAST = 0xFFFFFFFF
@@ -138,9 +139,8 @@ class MessageType(IntEnum):
     TRANSFORMED = 0x52
 
 
-#: Requests that change server state *and* carry a version-2
-#: idempotency envelope, so a retry across a reconnect is applied
-#: exactly once.
+#: Requests that change server state *and* carry an idempotency
+#: envelope, so a retry across a reconnect is applied exactly once.
 MUTATION_TYPES = frozenset({
     MessageType.STORE_RECORD,
     MessageType.DELETE_RECORD,
@@ -281,7 +281,7 @@ def unpack_all_parts(body: bytes, max_parts: int = 1 << 20) -> list:
     return parts
 
 
-# -- idempotency envelope (protocol version 2) --------------------------------
+# -- idempotency envelope -----------------------------------------------------
 
 def wrap_idempotency(key: str, body: bytes) -> bytes:
     """Prefix a mutating request body with its idempotency key."""
@@ -303,7 +303,10 @@ def unwrap_idempotency(body: bytes) -> tuple:
 # -- framing ------------------------------------------------------------------
 
 def encode_frame(msg_type: int, body: bytes = b"", seq: int = None) -> bytes:
-    """One wire frame: length prefix, type byte, [v2 seq], body."""
+    """One wire frame: length prefix, type byte, [seq], body.
+
+    Only the HELLO exchange goes out without a ``seq``.
+    """
     seq_raw = b"" if seq is None else (seq & 0xFFFFFFFF).to_bytes(
         _SEQ_LEN, "big"
     )
@@ -346,7 +349,8 @@ async def _read_payload(reader: asyncio.StreamReader, max_frame: int,
 async def read_frame(reader: asyncio.StreamReader,
                      max_frame: int = MAX_FRAME_BYTES, *,
                      drain_oversized: bool = False) -> tuple:
-    """Read one ``(MessageType, body)`` frame from a stream.
+    """Read one unsequenced ``(MessageType, body)`` frame (the HELLO
+    exchange) from a stream.
 
     Raises :class:`ProtocolError` on malformed/oversized frames and
     :class:`asyncio.IncompleteReadError` when the peer disconnects
@@ -361,11 +365,11 @@ async def read_frame(reader: asyncio.StreamReader,
 
 async def read_seq_frame(reader: asyncio.StreamReader,
                          max_frame: int = MAX_FRAME_BYTES) -> tuple:
-    """Read one v2 ``(MessageType, seq, body)`` frame from a stream."""
+    """Read one post-hello ``(MessageType, seq, body)`` frame."""
     payload = await _read_payload(reader, max_frame, False)
     msg_type = decode_frame_type(payload[0])
     if len(payload) < 1 + _SEQ_LEN:
-        raise ProtocolError("v2 frame is too short for a sequence number")
+        raise ProtocolError("frame is too short for a sequence number")
     seq = int.from_bytes(payload[1:1 + _SEQ_LEN], "big")
     return msg_type, seq, payload[1 + _SEQ_LEN:]
 

@@ -16,15 +16,14 @@ protocol violations answer with an ERROR frame and close it; a peer
 that disconnects mid-frame just gets cleaned up. ``stop()`` shuts the
 listener and every live session down gracefully.
 
-Fault tolerance (protocol version 2): replies echo the request's
-sequence number so clients can discard stale frames; mutating requests
-carry idempotency keys deduplicated through a bounded
-:class:`repro.service.retry.IdempotencyTable`, making a retry across a
-reconnect apply exactly once; and when a storage *write* fails at the
-OS level (disk full, permission loss) the server degrades to
-**read-only mode** — fetches keep serving while every write answers a
-typed, retryable ``unavailable`` ERROR. A ``HEALTH`` heartbeat reports
-the current mode.
+Fault tolerance: replies echo the request's sequence number so clients
+can discard stale frames; mutating requests carry idempotency keys
+deduplicated through a bounded :class:`repro.service.retry.
+IdempotencyTable`, making a retry across a reconnect apply exactly
+once; and when a storage *write* fails at the OS level (disk full,
+permission loss) the server degrades to **read-only mode** — fetches
+keep serving while every write answers a typed, retryable
+``unavailable`` ERROR. A ``HEALTH`` heartbeat reports the current mode.
 
 Every payload-bearing frame is metered through a
 :class:`repro.system.meter.Meter` with the *same role-pair/kind
@@ -37,7 +36,7 @@ Single-record operations (ReEncrypt, record decodes) run on a
 one-thread **offload executor** — one thread, so store mutations stay
 serialized with each other while PING/HEALTH latency stays bounded by
 the interpreter's thread-switch interval instead of by a multi-second
-pairing burst. The v2 ``REENCRYPT_SWEEP`` op re-encrypts every matched
+pairing burst. The ``REENCRYPT_SWEEP`` op re-encrypts every matched
 ciphertext in one request: update information is matched to the store's
 ciphertext-id index by header peek (no group math), records are fanned
 out chunk-by-chunk to a :class:`repro.parallel.pool.CryptoPool`
@@ -47,22 +46,22 @@ code, same bytes), each finished chunk is applied with the crash-safe
 and a ``SWEEP_PROGRESS`` frame streams back per chunk before the final
 ``SWEEP_DONE`` summary.
 
-Pipelined dispatch (protocol version 2): a v2 session no longer serves
-one frame at a time. The read loop keeps pulling frames and spawns each
-request as its own task — up to ``max_inflight`` concurrently per
-session, a window enforced by a semaphore so a flooding client blocks
-on the socket instead of ballooning server memory. Every reply (and
-every sweep progress frame) is tagged with *its* request's sequence
-number, so replies may legally overtake each other on the wire: a slow
-``FETCH_RECORD`` no longer head-of-line-blocks the cheap ``PING``
-behind it. Ordering and exactly-once invariants survive because (a)
-all store mutations still run on the single offload thread, (b) one
-session's mutating requests additionally serialize through a
-per-session mutation lock in arrival order, and (c) a mutation key
-already being applied parks its duplicate until the original resolves
-(the in-flight table), then replays the deduplicated reply. v1
-sessions — and servers started with ``max_inflight=1`` — keep the
-strict serial loop.
+Pipelined dispatch: every session runs one read loop that keeps
+pulling frames and spawns each request as its own task — up to
+``max_inflight`` concurrently per session, a window enforced by a
+semaphore so a flooding client blocks on the socket instead of
+ballooning server memory. ``max_inflight=1`` is the same loop with a
+window of one: each request finishes before the next is dispatched.
+Every reply (and every sweep progress frame) is tagged with *its*
+request's sequence number, so replies may legally overtake each other
+on the wire: a slow ``FETCH_RECORD`` does not head-of-line-block the
+cheap ``PING`` behind it. Ordering and exactly-once invariants survive
+because (a) all store mutations still run on the single offload
+thread, (b) one session's mutating requests additionally serialize
+through a per-session mutation lock in arrival order, and (c) a
+mutation key already being applied parks its duplicate until the
+original resolves (the in-flight table), then replays the deduplicated
+reply.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ _CLIENT_ROLES = frozenset({"owner", "user", "aa", "ca"})
 class _Session:
     """Per-connection state: negotiated identity plus the streams."""
 
-    __slots__ = ("reader", "writer", "peer_name", "peer_role", "version",
+    __slots__ = ("reader", "writer", "peer_name", "peer_role",
                  "write_lock", "mutation_lock", "window")
 
     def __init__(self, reader, writer):
@@ -116,7 +115,6 @@ class _Session:
         self.writer = writer
         self.peer_name = "?"
         self.peer_role = "?"
-        self.version = None
         # Created inside the event loop by _accept: frame writes are
         # atomic under write_lock (pipelined replies interleave, frames
         # must not); one session's mutations serialize in arrival order
@@ -171,7 +169,8 @@ class StorageService:
         self.dedup = IdempotencyTable(dedup_entries)
         self.pool = CryptoPool(workers)
         self.sweep_chunk = sweep_chunk
-        #: Per-session concurrent-request window (1 = serial dispatch).
+        #: Per-session concurrent-request window (1 = one request at a
+        #: time).
         self.max_inflight = max_inflight
         # Mutations whose apply is in flight right now, keyed by
         # idempotency key: a pipelined (or cross-connection) duplicate
@@ -275,53 +274,8 @@ class StorageService:
                 pass
 
     async def _run_session(self, session: _Session) -> None:
-        try:
-            await asyncio.wait_for(self._handshake(session),
-                                   self.hello_timeout)
-        except ProtocolError as exc:
-            await self._send(session, MessageType.ERROR,
-                             protocol.encode_error(exc))
-            return
-        seq_frames = session.version is not None and session.version >= 2
-        if seq_frames and self.max_inflight > 1:
-            await self._run_pipelined(session)
-            return
-        while True:
-            seq = None
-            try:
-                if seq_frames:
-                    msg_type, seq, body = await asyncio.wait_for(
-                        protocol.read_seq_frame(session.reader,
-                                                self.max_frame),
-                        self.idle_timeout,
-                    )
-                else:
-                    msg_type, body = await asyncio.wait_for(
-                        protocol.read_frame(session.reader, self.max_frame),
-                        self.idle_timeout,
-                    )
-            except ProtocolError as exc:
-                # Oversized/garbled framing: answer, then drop the peer.
-                # The request's seq is unknowable, so broadcast.
-                await self._send(session, MessageType.ERROR,
-                                 protocol.encode_error(exc),
-                                 seq=(protocol.SEQ_BROADCAST if seq_frames
-                                      else None))
-                return
-            self.meter.record_wire(5 + (4 if seq_frames else 0) + len(body))
-            try:
-                await self._dispatch(session, msg_type, seq, body)
-            except ProtocolError as exc:
-                await self._send(session, MessageType.ERROR,
-                                 protocol.encode_error(exc), seq=seq)
-                return  # protocol violations end the session
-            except ReproError as exc:
-                # Application errors are answered, not fatal.
-                await self._send(session, MessageType.ERROR,
-                                 protocol.encode_error(exc), seq=seq)
-
-    async def _run_pipelined(self, session: _Session) -> None:
-        """The v2 concurrent frame loop: read, spawn, keep reading.
+        """The session: HELLO, then the one frame loop — read, spawn,
+        keep reading.
 
         Each request runs as its own task; the session window semaphore
         (acquired *before* spawning) bounds in-flight requests, so a
@@ -330,6 +284,13 @@ class StorageService:
         burst. The idle timeout only fires when nothing is in flight:
         a connection waiting on its own slow sweep is busy, not idle.
         """
+        try:
+            await asyncio.wait_for(self._handshake(session),
+                                   self.hello_timeout)
+        except ProtocolError as exc:
+            await self._send(session, MessageType.ERROR,
+                             protocol.encode_error(exc))
+            return
         loop = asyncio.get_running_loop()
         inflight = set()
         read_task = None
@@ -383,7 +344,7 @@ class StorageService:
 
     async def _serve_one(self, session: _Session, msg_type: MessageType,
                          seq: int, body: bytes) -> None:
-        """One pipelined request, as its own task."""
+        """One request, as its own task."""
         try:
             try:
                 if msg_type in protocol.WRITE_TYPES:
@@ -417,14 +378,14 @@ class StorageService:
         if msg_type is not MessageType.HELLO:
             raise ProtocolError("expected a HELLO frame first")
         hello = protocol.decode_json(body)
-        session.version = protocol.negotiate(hello, self.preset)
+        version = protocol.negotiate(hello, self.preset)
         role = protocol.json_str(hello, "role")
         if role not in _CLIENT_ROLES:
             raise ProtocolError(f"unknown client role {role!r}")
         session.peer_role = role
         session.peer_name = protocol.json_str(hello, "name")
         await self._send(session, MessageType.HELLO_ACK, protocol.encode_json(
-            {"version": session.version, "preset": self.preset,
+            {"version": version, "preset": self.preset,
              "server": self.name}
         ))
 
@@ -434,7 +395,8 @@ class StorageService:
 
         The write lock keeps pipelined replies frame-atomic: concurrent
         tasks may interleave *frames* on the wire in any order, but
-        never bytes within one frame. ``seq=None`` writes a v1 frame.
+        never bytes within one frame. ``seq=None`` writes an unsequenced
+        frame, which only the HELLO exchange uses.
         """
         try:
             async with session.write_lock:
@@ -473,8 +435,7 @@ class StorageService:
                 )
         key = None
         inflight_future = None
-        if (msg_type in protocol.MUTATION_TYPES
-                and session.version is not None and session.version >= 2):
+        if msg_type in protocol.MUTATION_TYPES:
             key, body = protocol.unwrap_idempotency(body)
             while True:
                 cached = self.dedup.get(key)

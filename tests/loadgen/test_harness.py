@@ -46,7 +46,7 @@ def test_closed_loop_runs_the_full_mix(group):
 
     result = _run(_with_service(group, body))
     assert result["mode"] == "closed"
-    assert result["pipelined"] is True
+    assert result["max_inflight"] == 8
     assert result["measured_ops"] == 3 * 6
     assert result["failed_ops"] == 0
     assert result["throughput_ops"] > 0
@@ -115,8 +115,8 @@ def test_pipelined_vs_serial_is_byte_identical(group):
     comparison = _run(_with_service(group, body))
     assert comparison["byte_identical"] is True
     assert comparison["compared_responses"] == 4 * 4
-    assert comparison["serial"]["pipelined"] is False
-    assert comparison["pipelined"]["pipelined"] is True
+    assert comparison["serial"]["max_inflight"] == 1
+    assert comparison["pipelined"]["max_inflight"] == 8
     assert comparison["fetch_speedup"] is not None
 
 

@@ -1,7 +1,7 @@
-"""Pipelined dispatch: correlation, ordering, and the v1 fallback.
+"""Pipelined dispatch: correlation, ordering, and the window of one.
 
-With ``max_inflight > 1`` a version-2 connection multiplexes many
-requests; every reply must land on *its* request by sequence number,
+A connection multiplexes up to ``max_inflight`` requests; every reply
+must land on *its* request by sequence number,
 no matter how ChaosProxy reorders, delays or duplicates frames on the
 wire. These are the seq-mismatch regression tests: a reply delivered
 to the wrong caller would hand one record's bytes to another record's
@@ -12,14 +12,17 @@ reader, which is exactly the failure byte-identity gating in
 import asyncio
 import random
 
+import pytest
+
 from repro.core.revocation import rekey_standard
+from repro.errors import ProtocolError
 from repro.service import protocol
 from repro.service.client import BaseClient, OwnerClient, ServiceConnection
 from repro.service.faults import ChaosProxy, FaultSpec
 from repro.service.protocol import MessageType
 from repro.system.records import StoredRecord
 
-from .conftest import run, start_service
+from .conftest import Scenario, run, start_service
 from .test_faults import quick_retry
 
 
@@ -44,7 +47,7 @@ def test_interleaved_requests_correlate_by_seq(group, scenario, store_root):
         service = await start_service(group, store_root)
         conn = _pipelined_connection(group, service.host, service.port)
         await conn.connect()
-        assert conn.version == 2 and conn.pipelined
+        assert conn.version == 2
         owner = OwnerClient(conn, scenario.owner_core)
         try:
             await _upload_pool(owner, 6)
@@ -222,30 +225,99 @@ def test_cheap_request_is_not_stuck_behind_slow_sweep(group, scenario,
     assert run(body())
 
 
-def test_v1_peer_falls_back_to_serial(group, scenario, store_root,
-                                      monkeypatch):
-    """A peer that only speaks version 1 gets the original serial
-    behaviour even when the client asked for a pipelining window."""
-    real_hello = protocol.hello_body
-
-    def v1_hello(preset, role, name, versions=None):
-        return real_hello(preset, role, name, versions=(1,))
-
-    monkeypatch.setattr("repro.service.protocol.hello_body", v1_hello)
-
+def test_v1_only_hello_gets_typed_error_and_close(group, store_root):
+    """A peer offering only protocol version 1 is refused with a typed
+    ERROR frame, then the server closes the session."""
     async def body():
         service = await start_service(group, store_root)
-        conn = _pipelined_connection(group, service.host, service.port)
-        owner = OwnerClient(await conn.connect(), scenario.owner_core)
+        reader, writer = await asyncio.open_connection(
+            service.host, service.port
+        )
         try:
-            assert conn.version == 1
-            assert not conn.pipelined  # no reader task, serial roundtrips
-            await owner.upload("r", {"note": (b"v1", "hospital:doctor")})
-            record = await owner.fetch_record("r")
-            assert record.record_id == "r"
-            assert await owner.ping()
+            await protocol.write_frame(
+                writer, MessageType.HELLO,
+                protocol.hello_body(service.preset, "owner", "old-peer",
+                                    versions=(1,)),
+            )
+            msg_type, frame_body = await protocol.read_frame(reader)
+            assert msg_type is MessageType.ERROR
+            with pytest.raises(ProtocolError,
+                               match="no common protocol version"):
+                protocol.raise_error(frame_body)
+            # The session is over: EOF follows the ERROR.
+            assert await asyncio.wait_for(reader.read(), 2.0) == b""
+            assert service.connection_count == 0
         finally:
-            await owner.close()
+            writer.close()
             await service.stop()
 
     run(body())
+
+
+def _peak_dispatch(group, store_root, server_inflight):
+    """Drive concurrent PINGs and FETCH_RECORDs from one ``max_inflight=8``
+    client; return how many ``_dispatch`` calls the server ever ran at
+    once. Every reply is checked against its own request."""
+    async def body():
+        service = await start_service(group, store_root,
+                                      max_inflight=server_inflight)
+        real_dispatch = service._dispatch
+        live = {"now": 0, "peak": 0, "calls": 0}
+
+        async def spy(*args):
+            live["now"] += 1
+            live["calls"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+            try:
+                # Hold every dispatch open a moment, so any request the
+                # window lets through meanwhile is seen overlapping.
+                await asyncio.sleep(0.01)
+                return await real_dispatch(*args)
+            finally:
+                live["now"] -= 1
+
+        service._dispatch = spy
+        conn = _pipelined_connection(group, service.host, service.port)
+        owner = OwnerClient(await conn.connect(), Scenario(group).owner_core)
+        try:
+            await _upload_pool(owner, 4)
+
+            async def fetch(index):
+                _, reply = await conn.request(
+                    MessageType.FETCH_RECORD,
+                    protocol.encode_json({"record": f"rec-{index}"}),
+                    expect=MessageType.RECORD,
+                )
+                return StoredRecord.from_bytes(group, reply).record_id
+
+            async def ping(index):
+                _, reply = await conn.request(
+                    MessageType.PING, b"ping-%d" % index,
+                    expect=MessageType.PONG,
+                )
+                return reply
+
+            calls_before = live["calls"]
+            results = await asyncio.gather(*(
+                fetch(index % 4) if index % 2 else ping(index)
+                for index in range(16)
+            ))
+            for index, result in enumerate(results):
+                assert result == (f"rec-{index % 4}" if index % 2
+                                  else b"ping-%d" % index)
+            assert live["calls"] - calls_before == 16
+        finally:
+            await owner.close()
+            await service.stop()
+        return live["peak"]
+
+    return run(body())
+
+
+def test_window_of_one_server_serves_one_request_at_a_time(group, tmp_path):
+    """``StorageService(max_inflight=1)`` is the same session loop with a
+    window of one: a pipelining client still gets every reply on its
+    own request, and the server never dispatches two at once."""
+    assert _peak_dispatch(group, tmp_path / "one", 1) == 1
+    # Control: the same spy sees overlap once the window allows it.
+    assert _peak_dispatch(group, tmp_path / "eight", 8) > 1

@@ -190,15 +190,15 @@ def test_negotiate_picks_highest_common_version():
     hello = protocol.decode_json(
         hello_body("TOY80", "user", "bob", versions=(1, 2, 9))
     )
-    assert negotiate(hello, "TOY80", supported=(1, 2)) == 2
+    assert negotiate(hello, "TOY80", supported=(2,)) == 2
 
 
 def test_negotiate_rejects_no_common_version():
     hello = protocol.decode_json(
-        hello_body("TOY80", "user", "bob", versions=(99,))
+        hello_body("TOY80", "user", "bob", versions=(1, 99))
     )
     with pytest.raises(ProtocolError, match="no common protocol version"):
-        negotiate(hello, "TOY80", supported=(1,))
+        negotiate(hello, "TOY80", supported=(2,))
 
 
 def test_negotiate_rejects_preset_mismatch():
@@ -213,7 +213,7 @@ def test_negotiate_rejects_malformed_version_list():
             negotiate({"versions": versions, "preset": "TOY80"}, "TOY80")
 
 
-# -- v2 sequenced frames ------------------------------------------------------
+# -- sequenced frames ---------------------------------------------------------
 
 def read_seq_framed(data: bytes, **kwargs):
     async def scenario():
@@ -240,8 +240,9 @@ def test_seq_frame_broadcast_sentinel_roundtrips():
 
 
 def test_seq_frame_too_short_for_sequence():
-    # A v1 frame (no seq) read through the v2 parser must not crash
-    # with an index error but raise a typed protocol error.
+    # An unsequenced frame (HELLO framing) read through the sequenced
+    # parser must not crash with an index error but raise a typed
+    # protocol error.
     with pytest.raises(ProtocolError, match="sequence"):
         read_seq_framed(encode_frame(MessageType.PING, b"ab"))
 
