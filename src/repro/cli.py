@@ -741,7 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sweep-chunk", type=int, default=16,
                        dest="sweep_chunk",
                        help="records re-encrypted per sweep chunk / "
-                            "progress frame (default 16)")
+                            "progress frame (default 16); a read sent "
+                            "mid-sweep waits behind at most one chunk")
     serve.add_argument("--cluster-node", default=None, dest="cluster_node",
                        metavar="NAME",
                        help="serve as the named node of a storage cluster "

@@ -44,6 +44,51 @@ def _split_header(data: bytes) -> tuple:
     return header, 4 + header_len
 
 
+def decode_header(data: bytes) -> tuple:
+    """``(ciphertext id, owner id, matrix, versions, element offset)``
+    of an encoding, validated exactly as :meth:`Ciphertext.from_bytes`
+    validates it; no group element is read."""
+    header, offset = _split_header(data)
+    try:
+        ciphertext_id = header["id"]
+        owner_id = header["owner"]
+        policy = header["policy"]
+        versions = header["versions"]
+    except KeyError as exc:
+        raise SchemeError("malformed ciphertext header") from exc
+    if not all(isinstance(value, str)
+               for value in (ciphertext_id, owner_id, policy)):
+        raise SchemeError("malformed ciphertext header")
+    if not isinstance(versions, dict) or not all(
+        isinstance(aid, str)
+        and isinstance(v, int) and not isinstance(v, bool)
+        for aid, v in versions.items()
+    ):
+        raise SchemeError("malformed ciphertext header")
+    method = header.get("lsss", "expand")
+    if not isinstance(method, str):
+        raise SchemeError("malformed ciphertext header")
+    matrix = lsss_from_policy(policy, threshold_method=method)
+    return ciphertext_id, owner_id, matrix, dict(versions), offset
+
+
+def encode_header(ciphertext_id: str, owner_id: str, matrix: LsssMatrix,
+                  versions: dict) -> bytes:
+    """The canonical length-prefixed JSON header
+    :meth:`Ciphertext.to_bytes` writes ahead of the elements."""
+    header = json.dumps(
+        {
+            "id": ciphertext_id,
+            "owner": owner_id,
+            "policy": str(matrix.policy),
+            "lsss": matrix.method,
+            "versions": dict(sorted(versions.items())),
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return len(header).to_bytes(4, "big") + header
+
+
 @dataclass(frozen=True)
 class Ciphertext:
     """One CP-ABE ciphertext (the encrypted content key, per Fig. 2)."""
@@ -77,20 +122,11 @@ class Ciphertext:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        header = json.dumps(
-            {
-                "id": self.ciphertext_id,
-                "owner": self.owner_id,
-                "policy": self.policy_string,
-                "lsss": self.matrix.method,
-                "versions": dict(sorted(self.versions.items())),
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
         body = self.c.to_bytes() + self.c_prime.to_bytes()
         for row in self.c_rows:
             body += row.to_bytes()
-        return len(header).to_bytes(4, "big") + header + body
+        return encode_header(self.ciphertext_id, self.owner_id,
+                             self.matrix, self.versions) + body
 
     @classmethod
     def from_bytes(cls, group: PairingGroup, data: bytes, *,
@@ -99,27 +135,9 @@ class Ciphertext:
         checks and is reserved for bytes this process already validated
         (store-internal re-reads are digest-verified and were fully
         checked when they first crossed the wire)."""
-        header, offset = _split_header(data)
-        try:
-            ciphertext_id = header["id"]
-            owner_id = header["owner"]
-            policy = header["policy"]
-            versions = header["versions"]
-        except KeyError as exc:
-            raise SchemeError("malformed ciphertext header") from exc
-        if not all(isinstance(value, str)
-                   for value in (ciphertext_id, owner_id, policy)):
-            raise SchemeError("malformed ciphertext header")
-        if not isinstance(versions, dict) or not all(
-            isinstance(aid, str)
-            and isinstance(v, int) and not isinstance(v, bool)
-            for aid, v in versions.items()
-        ):
-            raise SchemeError("malformed ciphertext header")
-        method = header.get("lsss", "expand")
-        if not isinstance(method, str):
-            raise SchemeError("malformed ciphertext header")
-        matrix = lsss_from_policy(policy, threshold_method=method)
+        ciphertext_id, owner_id, matrix, versions, offset = decode_header(
+            data
+        )
         gt_len, g1_len = group.gt_bytes, group.g1_bytes
         expected = gt_len + g1_len * (1 + matrix.n_rows)
         if len(data) - offset != expected:
@@ -145,7 +163,7 @@ class Ciphertext:
             c_rows=tuple(rows),
             matrix=matrix,
             involved_aids=involved_authorities(matrix.row_labels),
-            versions={aid: int(v) for aid, v in versions.items()},
+            versions=versions,
         )
 
     @staticmethod

@@ -82,6 +82,9 @@ def apply_update(ciphertext: Ciphertext, update_key: UpdateKey,
                 ) from None
             new_rows.append(ciphertext.c_rows[index] * factor)
         else:
+            # Passed through unread: the sweep's store-bytes job hands
+            # these rows in still encoded (repro.parallel.batch._StoredRow),
+            # so nothing here or in the checks may touch them.
             new_rows.append(ciphertext.c_rows[index])
 
     versions = dict(ciphertext.versions)

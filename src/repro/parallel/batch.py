@@ -35,7 +35,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from repro.core.ciphertext import Ciphertext
+from repro.core.attributes import authority_of, involved_authorities
+from repro.core.ciphertext import Ciphertext, decode_header, encode_header
 from repro.core.keys import CiphertextUpdateInfo, UpdateKey
 from repro.core.reencrypt import apply_update, check_reencrypt_inputs
 from repro.core.serialize import (
@@ -48,7 +49,7 @@ from repro.core.serialize import (
 from repro.errors import ReproError, SchemeError, StorageError
 from repro.pairing.group import GTElement, PairingGroup
 from repro.parallel.pool import CryptoPool, chunked
-from repro.system.records import StoredRecord
+from repro.system.records import RecordFrame, pack_record, scan_record
 
 #: Outcome statuses.
 UPDATED = "updated"
@@ -271,6 +272,86 @@ def reencrypt_chunk_raw(group: PairingGroup, uk_raw: bytes, items,
     return results
 
 
+class _StoredRow:
+    """An LSSS row a re-key leaves alone, kept as its stored encoding;
+    :meth:`Ciphertext.to_bytes` copies it out verbatim.
+
+    It is not a group element: a ciphertext holding one may go only
+    through :func:`batch_outcomes` and ``to_bytes``, which never read a
+    row outside the update authority's (see
+    :func:`repro.core.reencrypt.apply_update`).
+    """
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+
+    def to_bytes(self) -> bytes:
+        return self.raw
+
+
+def _decode_for_update(group: PairingGroup, data: bytes,
+                       aid: str) -> Ciphertext:
+    """A stored ciphertext decoded only as far as re-keying ``aid``
+    touches it: ``C``, ``C'`` and the rows of ``aid``'s attributes.
+
+    Every other row stays a :class:`_StoredRow`. Decodes are trusted:
+    the bytes come from the digest-verified store, whose elements were
+    subgroup-checked at ingest. Private to :func:`reencrypt_records_raw`,
+    which only ever re-encodes the result.
+    """
+    ciphertext_id, owner_id, matrix, versions, offset = decode_header(data)
+    gt_len, g1_len = group.gt_bytes, group.g1_bytes
+    if len(data) - offset != gt_len + g1_len * (1 + matrix.n_rows):
+        raise SchemeError("ciphertext body has the wrong length")
+    c = group.decode_gt(data[offset:offset + gt_len], check_subgroup=False)
+    offset += gt_len
+    c_prime = group.decode_g1(data[offset:offset + g1_len],
+                              check_subgroup=False)
+    rows = []
+    for label in matrix.row_labels:
+        offset += g1_len
+        raw = data[offset:offset + g1_len]
+        rows.append(group.decode_g1(raw, check_subgroup=False)
+                    if authority_of(label) == aid else _StoredRow(raw))
+    return Ciphertext(
+        ciphertext_id=ciphertext_id,
+        owner_id=owner_id,
+        c=c,
+        c_prime=c_prime,
+        c_rows=tuple(rows),
+        matrix=matrix,
+        involved_aids=involved_authorities(matrix.row_labels),
+        versions=versions,
+    )
+
+
+def _rewrite_record(frame: RecordFrame, changed: dict) -> bytes:
+    """The framed record with each ``changed`` component (name ->
+    updated ciphertext) swapped in; byte for byte the whole-record
+    re-encode ``StoredRecord.from_bytes(blob).with_component(...)
+    .to_bytes()``, for every blob.
+
+    Components go out in name order. An untouched component gets its
+    ABE header re-emitted in canonical form, while its group elements
+    and symmetric body are copied verbatim (element encodings are
+    canonical by construction: the decoder accepts only reduced field
+    elements). A blob stored in another encoding, say a repair that kept
+    the bytes it was sent, is therefore normalized like the re-encode
+    does it.
+    """
+    encoded = {}
+    for name, slot in frame.components.items():
+        if name in changed:
+            abe = changed[name].to_bytes()
+        else:
+            *header, offset = decode_header(slot.abe)
+            abe = encode_header(*header) + slot.abe[offset:]
+        encoded[name] = slot.with_abe(abe)
+    return pack_record(frame.record_id, frame.owner_id, encoded)
+
+
 def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks,
                           validate_uis: bool = True) -> list:
     """One pooled chunk of the service sweep: whole records in, out.
@@ -281,58 +362,56 @@ def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks,
     (``code``/``message`` are ``None`` unless ``status == "error"``).
     ``new_record_bytes`` is ``None`` when no component changed.
 
-    Record bytes come from the digest-verified store and decode trusted;
-    update information arrived over the wire and is batch-validated here
-    (off the server's event loop). The update key must have been
-    validated by the caller before fan-out.
+    Record bytes come from the digest-verified store: each is framed
+    without decoding, only the targeted ciphertexts' ``C``, ``C'`` and
+    re-keyed rows are decoded (trusted), and the updated ciphertexts
+    are written back into the record rebuilt from its frame — the same
+    bytes a whole-record decode and re-encode gives. Update information
+    arrived over the wire and is batch-validated here (off the server's
+    event loop). The update key must have been validated by the caller
+    before fan-out.
     """
     update_key = _cached_update_key(group, uk_raw)
-    records = [
-        StoredRecord.from_bytes(group, record_raw, validate=False)
-        for record_raw, _ in tasks
-    ]
+    frames = [scan_record(record_raw) for record_raw, _ in tasks]
     ui_raws = [ui_raw for _, targets in tasks for _, ui_raw in targets]
     uis = iter(_decode_ui_batch(group, ui_raws, validate_uis))
-    # entry: (task index, component, decoded UI) per targeted ciphertext
+    # entry: (task index, component name, partial ciphertext, decoded UI)
     entries = []
     item_results = [[] for _ in tasks]
-    for task_index, (record, (_, targets)) in enumerate(zip(records, tasks)):
+    for task_index, (frame, (_, targets)) in enumerate(zip(frames, tasks)):
         for component_name, _ in targets:
             info, exc = next(uis)
-            component = record.components.get(component_name)
-            if component is None:
+            slot = frame.components.get(component_name)
+            if slot is None:
                 exc = StorageError(
-                    f"record {record.record_id!r} has no component "
+                    f"record {frame.record_id!r} has no component "
                     f"{component_name!r}"
                 )
             if exc is not None:
                 ciphertext_id = (
-                    "?" if info is None and component is None
+                    "?" if info is None and slot is None
                     else (info.ciphertext_id if info is not None
-                          else component.abe_ciphertext.ciphertext_id)
+                          else slot.ciphertext_id)
                 )
                 item_results[task_index].append(
                     (ciphertext_id, ERROR, error_code(exc), str(exc))
                 )
                 continue
-            entries.append((task_index, component, info))
+            entries.append((
+                task_index, component_name,
+                _decode_for_update(group, slot.abe, update_key.aid), info,
+            ))
     outcomes = batch_outcomes(
         group,
-        [component.abe_ciphertext for _, component, _ in entries],
+        [ciphertext for _, _, ciphertext, _ in entries],
         update_key,
-        [info for _, _, info in entries],
+        [info for _, _, _, info in entries],
     )
-    updated_records = {}  # task index -> evolving StoredRecord
-    for (task_index, component, _), outcome in zip(entries, outcomes):
+    changed = [{} for _ in tasks]  # per task: name -> updated ciphertext
+    for (task_index, component_name, _, _), outcome in zip(entries,
+                                                           outcomes):
         if outcome.status == UPDATED:
-            record = updated_records.get(task_index, records[task_index])
-            updated_records[task_index] = record.with_component(
-                type(component)(
-                    name=component.name,
-                    abe_ciphertext=outcome.ciphertext,
-                    data_ciphertext=component.data_ciphertext,
-                )
-            )
+            changed[task_index][component_name] = outcome.ciphertext
             item_results[task_index].append(
                 (outcome.ciphertext_id, UPDATED, None, None)
             )
@@ -347,11 +426,10 @@ def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks,
             )
     return [
         (
-            updated_records[task_index].to_bytes()
-            if task_index in updated_records else None,
-            item_results[task_index],
+            _rewrite_record(frame, updates) if updates else None,
+            results,
         )
-        for task_index in range(len(tasks))
+        for frame, updates, results in zip(frames, changed, item_results)
     ]
 
 

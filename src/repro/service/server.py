@@ -41,10 +41,14 @@ ciphertext in one request: update information is matched to the store's
 ciphertext-id index by header peek (no group math), records are fanned
 out chunk-by-chunk to a :class:`repro.parallel.pool.CryptoPool`
 (``workers=0`` routes chunks through the offload thread instead — same
-code, same bytes), each finished chunk is applied with the crash-safe
-:meth:`repro.service.store.RecordStore.replace_record_bytes` ordering,
-and a ``SWEEP_PROGRESS`` frame streams back per chunk before the final
-``SWEEP_DONE`` summary.
+code, same bytes), each finished chunk is applied as one deferred
+:meth:`repro.service.store.RecordStore.replace_record_bytes_many`
+batch, and a ``SWEEP_PROGRESS`` frame streams back per chunk before
+one durability barrier and the final ``SWEEP_DONE`` summary. A
+server-wide window admits one chunk at a time with the inline pool
+(two per worker with a process pool), so a read mid-sweep never waits
+for the rest of the sweep: inline, it waits behind at most one chunk's
+pairing leg.
 
 Pipelined dispatch: every session runs one read loop that keeps
 pulling frames and spawns each request as its own task — up to
@@ -201,6 +205,9 @@ class StorageService:
         # pairing bursts leave the event loop free for PING/HEALTH.
         self._cpu = ThreadPoolExecutor(max_workers=1,
                                        thread_name_prefix="repro-crypto")
+        # Server-wide sweep-chunk admission window, shared by every
+        # sweep (see _sweep_chunk); created in start(), inside the loop.
+        self._sweep_window = None
         self._server = None
         self._sessions = set()
         self._tasks = set()
@@ -209,6 +216,13 @@ class StorageService:
 
     async def start(self) -> None:
         """Bind and start accepting connections (port 0 → ephemeral)."""
+        # One slot inline, so the offload thread holds at most one
+        # pairing leg ahead of a read; two per pool worker, so each
+        # worker has its next chunk read and waiting while the offload
+        # thread writes back the one it just finished.
+        self._sweep_window = asyncio.Semaphore(
+            1 if self.pool.inline else 2 * self.pool.workers
+        )
         if not self.pool.inline:
             # Boot the pool's workers before traffic arrives: spawning
             # them lazily would bill forkserver start-up, per-worker
@@ -882,11 +896,14 @@ class StorageService:
 
         Matching is by encoding-header peek against the ciphertext-id
         index — no group element decodes on the loop. Each chunk's
-        output is applied with the no-decode ``replace_record_bytes``
-        ordering (valid because ReEncrypt preserves every ciphertext id
-        and component name), then a progress frame streams back. The
-        final summary is both sent and returned, so a deduplicated
-        retry replays it verbatim.
+        output is applied with one no-decode, non-durable
+        ``replace_record_bytes_many`` batch (valid because ReEncrypt
+        preserves every ciphertext id and component name), then a
+        progress frame streams back; one ``commit_replacements``
+        barrier makes every chunk durable before ``SWEEP_DONE``.
+        Chunks are admitted through the server-wide sweep window (see
+        :meth:`_sweep_chunk`). The final summary is both sent and
+        returned, so a deduplicated retry replays it verbatim.
         """
         parts = protocol.unpack_all_parts(body)
         if len(parts) < 2:
@@ -936,6 +953,8 @@ class StorageService:
         # thread ALL store mutations run on — see __init__) while the
         # pairing-heavy middle leg goes to the pool, so chunks pipeline
         # without ever touching the store from the event-loop thread.
+        # The tasks start together but are admitted one sweep-window
+        # slot at a time, in chunk order.
         pending = [
             (chunk_ids, asyncio.ensure_future(self._sweep_chunk(
                 loop, executor, uk_raw, chunk_ids, matched
@@ -1006,13 +1025,22 @@ class StorageService:
         keeping every store mutation in the process on that single
         thread (and the fsync-heavy replace off the event loop); only
         the pairing-heavy middle leg runs in the pool executor.
+
+        The chunk holds a sweep-window slot from its read leg to its
+        apply leg. With the inline pool the window is one slot, so the
+        offload thread never holds more than one pairing leg ahead of a
+        ``FETCH_RECORD`` or ``FETCH_COMPONENT`` queued behind it; a
+        process pool gets two slots per worker, so no worker idles
+        while its last chunk is written back and its next one read.
         """
-        tasks = await self._offload(self._sweep_read_chunk, chunk_ids,
-                                    matched)
-        results = await loop.run_in_executor(
-            executor, reencrypt_records_raw, self.group, uk_raw, tasks
-        )
-        await self._offload(self._sweep_apply_chunk, chunk_ids, results)
+        async with self._sweep_window:
+            tasks = await self._offload(self._sweep_read_chunk, chunk_ids,
+                                        matched)
+            results = await loop.run_in_executor(
+                executor, reencrypt_records_raw, self.group, uk_raw, tasks
+            )
+            await self._offload(self._sweep_apply_chunk, chunk_ids,
+                                results)
         return results
 
     def _sweep_read_chunk(self, chunk_ids, matched):

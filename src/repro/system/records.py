@@ -73,6 +73,19 @@ def _split_record(blob: bytes) -> tuple:
             components)
 
 
+def pack_record(record_id: str, owner_id: str, encoded: dict) -> bytes:
+    """A record blob around already-encoded components (name ->
+    ``StoredComponent.to_bytes()``): ids, count, then the components
+    length-prefixed in name order."""
+    blob = b"".join(
+        len(part).to_bytes(4, "big") + part
+        for part in (record_id.encode("utf-8"), owner_id.encode("utf-8"))
+    ) + len(encoded).to_bytes(4, "big")
+    for name in sorted(encoded):
+        blob += len(encoded[name]).to_bytes(4, "big") + encoded[name]
+    return blob
+
+
 @dataclass(frozen=True)
 class StoredComponent:
     """One ``(CT_i, E_{k_i}(m_i))`` pair of Fig. 2."""
@@ -148,17 +161,10 @@ class StoredRecord:
 
     def to_bytes(self) -> bytes:
         """Durable on-disk form: ids then length-prefixed components."""
-        record_id = self.record_id.encode("utf-8")
-        owner_id = self.owner_id.encode("utf-8")
-        blob = (
-            len(record_id).to_bytes(4, "big") + record_id
-            + len(owner_id).to_bytes(4, "big") + owner_id
-            + len(self.components).to_bytes(4, "big")
-        )
-        for name in sorted(self.components):
-            encoded = self.components[name].to_bytes()
-            blob += len(encoded).to_bytes(4, "big") + encoded
-        return blob
+        return pack_record(self.record_id, self.owner_id, {
+            name: component.to_bytes()
+            for name, component in self.components.items()
+        })
 
     @classmethod
     def from_bytes(cls, group: PairingGroup, blob: bytes, *,
@@ -189,9 +195,18 @@ class ComponentFrame:
 
     name: str
     encoded: bytes      # exactly the StoredComponent.to_bytes() slice
+    abe: bytes          # the ABE ciphertext's slice of ``encoded``
     ciphertext_id: str  # read from the ABE ciphertext's JSON header
     payload_size: int   # Table-II size: |GT| + (l+1)|G| + |E_k(m)|
     offset: int         # where its length prefix starts in the record blob
+
+    def with_abe(self, abe: bytes) -> bytes:
+        """This component's encoding with its ABE ciphertext swapped for
+        ``abe``; the name and the symmetric body are copied verbatim."""
+        start = 4 + len(self.name.encode("utf-8"))
+        end = start + 4 + len(self.abe)
+        return (self.encoded[:start] + len(abe).to_bytes(4, "big") + abe
+                + self.encoded[end:])
 
 
 @dataclass(frozen=True)
@@ -235,6 +250,7 @@ def scan_record(blob: bytes) -> RecordFrame:
         components[name] = ComponentFrame(
             name=name,
             encoded=encoded,
+            abe=abe,
             ciphertext_id=ciphertext_id,
             payload_size=element_bytes + len(data),
             offset=offset,

@@ -3,16 +3,22 @@ store, streams progress, survives chaos, and never starves the loop."""
 
 import asyncio
 import io
+import time
 
 import pytest
 
+import repro.service.server as server_module
 from repro.core.revocation import rekey_standard
+from repro.core.serialize import encode_update_info, encode_update_key
 from repro.ec.params import TOY80
+from repro.service import protocol
 from repro.service.client import BaseClient, OwnerClient, ServiceConnection
 from repro.service.faults import ChaosProxy
 from repro.service.protocol import MessageType
 from repro.service.retry import RetryPolicy
+from repro.service.server import StorageService
 from repro.service.smoke import run_sweep_cycle
+from repro.service.store import RecordStore
 
 from .conftest import run, start_service
 
@@ -177,3 +183,115 @@ def test_ping_answers_while_a_sweep_is_running(group, scenario, store_root):
     assert max(latencies) < 2.0
 
 
+
+
+# -- regression: a read waits behind at most one sweep chunk leg --------------
+
+def test_fetch_waits_for_at_most_one_sweep_leg(group, scenario, store_root,
+                                               monkeypatch):
+    """The sweep window admits one chunk at a time on the inline pool, so
+    a FETCH_RECORD queued on the offload thread mid-sweep waits behind
+    at most the leg already running, not the rest of the sweep."""
+    real = server_module.reencrypt_records_raw
+    legs_done = []
+
+    async def flow():
+        loop = asyncio.get_running_loop()
+        started = asyncio.Event()
+
+        def spy(*args):
+            loop.call_soon_threadsafe(started.set)
+            time.sleep(0.05)
+            result = real(*args)
+            legs_done.append(True)
+            return result
+
+        monkeypatch.setattr(server_module, "reencrypt_records_raw", spy)
+        service = await start_service(group, store_root, sweep_chunk=1)
+        owner = await make_owner(scenario, service.host, service.port)
+        reader = await connect(scenario, service.host, service.port,
+                               "user", "user:carol")
+        try:
+            await populate(owner, 10)
+            sweep = asyncio.ensure_future(
+                owner.sweep_revocation(revoke_bob(scenario))
+            )
+            await asyncio.wait_for(started.wait(), 30)
+            before = len(legs_done)
+            await reader.request(
+                MessageType.FETCH_RECORD,
+                protocol.encode_json({"record": "rec-009"}),
+                expect=MessageType.RECORD,
+            )
+            after = len(legs_done)
+            summary = await asyncio.wait_for(sweep, 60)
+        finally:
+            await reader.close()
+            await owner.close()
+            await service.stop()
+        return before, after, summary
+
+    before, after, summary = run(flow())
+    assert len(summary["updated"]) == 10
+    assert before < 10, "the sweep finished before the fetch was sent"
+    assert after - before <= 1, (before, after)
+
+
+# -- byte identity: the window does not change what the sweep writes ----------
+
+def test_pooled_windowed_sweep_matches_inline_bytes(group, scenario,
+                                                    tmp_path):
+    """The same store swept inline and through a two-worker pool with
+    one-record chunks ends with identical digests and blobs."""
+    records = [
+        scenario.make_record(f"rec-{index:02d}", {
+            "note": (f"note {index}".encode("utf-8"), "hospital:doctor"),
+            "plan": (b"plan", "hospital:doctor OR hospital:nurse"),
+        })
+        for index in range(5)
+    ]
+    update_key = revoke_bob(scenario)
+    ciphertext_ids = sorted(scenario.owner_core.records_involving("hospital"))
+    ui_raws = [
+        encode_update_info(scenario.owner_core.update_info_for_record(
+            ciphertext_id, update_key
+        ))
+        for ciphertext_id in ciphertext_ids
+    ]
+    body = protocol.pack_parts(
+        protocol.encode_json({"n": len(ui_raws)}),
+        encode_update_key(group, update_key),
+        *ui_raws,
+    )
+
+    async def sweep(root, **kwargs):
+        store = RecordStore(root, group)
+        for record in records:
+            store.put(record)
+        service = StorageService(group, store, **kwargs)
+        await service.start()
+        conn = await connect(scenario, service.host, service.port, "owner",
+                             "owner:alice")
+        try:
+            reply = await conn.request_stream(
+                MessageType.REENCRYPT_SWEEP, body,
+                final=MessageType.SWEEP_DONE,
+                progress=MessageType.SWEEP_PROGRESS,
+            )
+        finally:
+            await conn.close()
+            await service.stop()
+        state = {record_id: (store.digest(record_id),
+                             store.get_record_bytes(record_id))
+                 for record_id in store.record_ids()}
+        return protocol.decode_json(reply), state
+
+    inline_summary, inline_state = run(sweep(tmp_path / "inline"))
+    pooled_summary, pooled_state = run(sweep(tmp_path / "pooled", workers=2,
+                                             sweep_chunk=1))
+    assert inline_summary["updated"] == ciphertext_ids
+    assert pooled_summary == inline_summary
+    assert pooled_state == inline_state
+    # Every record was rewritten, not left at its pre-sweep bytes.
+    assert all(blob != record.to_bytes()
+               for (_, blob), record in zip(inline_state.values(), records))
